@@ -3,8 +3,8 @@
 ``BENCH_hotpath.json`` is a single overwritten snapshot — good for a diff,
 blind to slow drift.  This module keeps the longitudinal record:
 :func:`append_history` distils each perf-harness payload into one JSONL
-line (git sha, timestamp, per-``design@path`` throughput, the DRAM and
-serve microbench rates) appended to ``BENCH_history.jsonl``, and
+line (git sha, timestamp, per-design throughput, the DRAM and serve
+microbench rates) appended to ``BENCH_history.jsonl``, and
 :func:`analyze_trend` compares the newest entry against the **median of
 the last N comparable runs** — flagging drifts well below the blunt ≤3%
 CI gate before they compound into one.

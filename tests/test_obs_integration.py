@@ -158,6 +158,32 @@ def test_manifest_v1_still_readable(tmp_path):
     assert report.total == 1
 
 
+def test_manifest_with_retired_sim_path_key_still_loads(tmp_path):
+    """Manifests written while the simulator had several dispatch paths
+    carry a ``sim_path`` key; the reader ignores it."""
+    old = {
+        "manifest_version": 2,
+        "jobs_requested": 8,
+        "workers": 8,
+        "mode": "pool",
+        "jobs_source": "flag",
+        "sim_path": "batched",
+        "run_id": None,
+        "trace": None,
+        "totals": {"jobs": 1, "wall_time_s": 0.5},
+        "metrics": {},
+        "spans": None,
+        "jobs": [{"job_hash": "abc", "design": "cosmos", "workload": "dfs",
+                  "status": "ok", "attempts": 1, "wall_time_s": 0.5}],
+    }
+    path = tmp_path / "run-old.json"
+    path.write_text(json.dumps(old))
+    report = load_manifest(path)
+    assert report.mode == "pool" and report.jobs_source == "flag"
+    assert report.records[0].design == "cosmos"
+    assert "sim_path" not in report.to_dict()
+
+
 def test_manifest_future_version_rejected():
     with pytest.raises(ValueError):
         RunReport.from_dict({"manifest_version": 99})

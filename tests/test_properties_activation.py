@@ -8,9 +8,8 @@ Three laws, checked against a trivial reference model:
   request lands in a later window, and ``act_window_resets`` counts it.
 * **Pure function of the request stream** — replaying the same
   ``(block, is_write, now)`` sequence into a fresh model reproduces the
-  ledger and stats byte for byte; and the three simulation dispatch
-  paths (arrays / objects / batched), which issue the identical request
-  sequence, leave byte-identical DRAM stats behind.
+  ledger and stats byte for byte; and a simulated hammer run leaves the
+  pinned DRAM stats and ledger behind, whatever form its trace takes.
 """
 
 from hypothesis import given, settings
@@ -152,21 +151,41 @@ def test_dram_stats_dict_exposes_ledger_metrics():
         assert key in payload
 
 
-def test_dram_stats_identical_across_dispatch_paths():
-    """arrays / objects / batched issue the same DRAM request sequence."""
+#: DRAM stats and activation ledger of cosmos on a two-core double-sided
+#: hammer trace at ``small_test_config(2)``, pinned by value.
+_HAMMER_DRAM_STATS = {
+    "reads": 41, "writes": 0, "row_hits": 10, "row_misses": 31,
+    "row_hit_rate": 0.24390243902439024, "read_cycles": 28751,
+    "write_cycles": 0, "busy_cycles": 28751, "queue_cycles": 24200,
+    "refresh_stalls": 0, "turnarounds": 0, "background_requests": 0,
+    "activations": 31, "act_window_resets": 0, "max_row_activations": 2,
+    "per_channel": {"0": 41}, "per_channel_busy": {"0": 328},
+}
+_HAMMER_LEDGER = {
+    (0, 0, 131136): 2, (0, 0, 133120): 1, (0, 0, 148512): 2,
+    (0, 0, 149008): 2, (0, 0, 149256): 2, (0, 0, 149380): 2,
+    (0, 0, 149442): 2, (0, 0, 149473): 2, (0, 0, 149503): 2,
+    (0, 1, 149502): 1, (0, 2, 149500): 1, (0, 3, 8192): 1,
+    (0, 4, 8192): 2, (0, 4, 149496): 2, (0, 8, 149488): 2,
+    (0, 8, 149503): 2, (0, 12, 149503): 1, (0, 14, 149503): 1,
+    (0, 15, 149503): 1,
+}
+
+
+def test_dram_stats_and_ledger_pinned_by_value():
+    """A simulated run leaves exactly the pinned DRAM stats and ledger.
+
+    The trace goes in as packed arrays, a list and a generator; all three
+    issue the same request sequence.
+    """
     from repro.sim.config import small_test_config
     from repro.sim.simulator import Simulator, build_design
     from repro.workloads.hammer import generate_hammer_trace
 
     trace = generate_hammer_trace("hammer-double", num_cores=2, max_accesses=1500)
     config = small_test_config(num_cores=2)
-    dumps = {}
-    ledgers = {}
-    for path in ("arrays", "objects", "batched"):
+    for source in (trace.arrays(), list(trace.accesses), iter(trace.accesses)):
         design = build_design("cosmos", config)
-        Simulator(design, config, "hammer-double").run(trace, path=path)
-        dumps[path] = design.engine.dram.stats.as_dict()
-        ledgers[path] = design.engine.dram.activation_counts()
-    assert dumps["arrays"] == dumps["objects"] == dumps["batched"]
-    assert ledgers["arrays"] == ledgers["objects"] == ledgers["batched"]
-    assert dumps["arrays"]["activations"] > 0
+        Simulator(design, config, "hammer-double").run(source)
+        assert design.engine.dram.stats.as_dict() == _HAMMER_DRAM_STATS
+        assert design.engine.dram.activation_counts() == _HAMMER_LEDGER

@@ -1,9 +1,19 @@
 """Unit tests for the trace container and helpers."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.mem.access import AccessType, MemoryAccess
-from repro.workloads.trace import ALLOC_ALIGN, Allocator, Trace, interleave, reads_and_writes
+from repro.workloads.trace import (
+    ALLOC_ALIGN,
+    Allocator,
+    Trace,
+    TraceArrays,
+    interleave,
+    reads_and_writes,
+)
 
 
 class TestAllocator:
@@ -88,3 +98,40 @@ def test_reads_and_writes_builder():
     assert accesses[0].type == AccessType.READ
     assert accesses[1].type == AccessType.WRITE
     assert all(access.core == 2 for access in accesses)
+
+
+# ---------------------------------------------------------------------------
+# TraceArrays.from_iter streaming materialisation
+
+
+def _accesses(n, seed=3):
+    rng = random.Random(seed)
+    return [
+        MemoryAccess(
+            rng.randrange(4096) << 6,
+            AccessType.WRITE if rng.random() < 0.4 else AccessType.READ,
+            core=rng.randrange(2),
+        )
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 100, 200_000])
+def test_from_iter_generator_matches_from_accesses(n):
+    accesses = _accesses(n)
+    # chunk=4096 forces multi-chunk assembly for the large case.
+    streamed = TraceArrays.from_iter(iter(accesses), chunk=4096)
+    packed = TraceArrays.from_accesses(accesses)
+    for field in ("addresses", "types", "cores"):
+        got = getattr(streamed, field)
+        want = getattr(packed, field)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_from_iter_sequence_shortcut():
+    accesses = _accesses(64)
+    assert np.array_equal(
+        TraceArrays.from_iter(accesses).addresses,
+        TraceArrays.from_accesses(accesses).addresses,
+    )
