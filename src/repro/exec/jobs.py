@@ -24,7 +24,10 @@ from ..sim.config import SimulationConfig
 
 #: Bump when the hash inputs or the simulation semantics they describe
 #: change incompatibly; stale cache entries then miss instead of lying.
-SPEC_VERSION = 1
+#: 2: the bank-state DRAM model and the later DRAM accounting fixes
+#: (background occupancy, grant-order turnaround, idle-latency fallback)
+#: changed simulated results that version 1 entries still held.
+SPEC_VERSION = 2
 
 
 def canonical_config_dict(config: SimulationConfig) -> Dict[str, object]:

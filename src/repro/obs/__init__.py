@@ -19,9 +19,10 @@ cooperating facilities:
 
 The cardinal rule: with observability off, the simulator's hot loops are
 *byte-for-byte the same code path as before* — the only cost is one
-``enabled()`` check per ``Simulator.run`` call.  The perf harness
-(``python -m repro.bench.perf --obs-check``) and the golden-metrics tests
-enforce both the throughput budget and metric neutrality.
+``enabled()`` check per ``Simulator.run`` call.  The obs-integration
+tests enforce metric neutrality: obs-on and obs-off payloads are
+byte-identical.  Host time per layer comes from the benchmark, not from
+this package: ``python3 perfbench/run.py --workload <w> --trace 1``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def set_enabled(value: Optional[bool]) -> None:
 class overridden:
     """``with overridden(False):`` — temporarily force the switch.
 
-    The perf harness measures with observability force-disabled so the
-    tracked baseline never silently includes instrumentation cost.
+    The override wins over ``REPRO_OBS`` inside the block; the previous
+    state, override or environment control, is restored on exit.
     """
 
     __slots__ = ("_value", "_previous")

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.exec import CACHE_VERSION, JobSpec, ResultCache
+from repro.exec import CACHE_VERSION, JobSpec, ResultCache, jobs
 from repro.mem.stats import TrafficStats
 from repro.sim.config import small_test_config
 from repro.sim.results import SimulationResult
@@ -82,6 +82,19 @@ def test_version_mismatch_is_a_miss(tmp_path):
     entry["cache_version"] = CACHE_VERSION + 1
     path.write_text(json.dumps(entry))
     assert cache.get(spec.content_hash()) is None
+
+
+def test_entry_from_previous_spec_version_is_a_miss(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path / "results")
+    spec = make_job()
+    current_hash = spec.content_hash()
+    with monkeypatch.context() as patched:
+        patched.setattr(jobs, "SPEC_VERSION", jobs.SPEC_VERSION - 1)
+        stale_hash = spec.content_hash()
+    assert stale_hash != current_hash
+    assert cache.put(spec, make_result(), job_hash=stale_hash)
+    assert cache.get(stale_hash) is not None
+    assert cache.get(current_hash) is None
 
 
 def test_entry_hash_mismatch_is_a_miss(tmp_path):

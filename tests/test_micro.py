@@ -1,7 +1,10 @@
 """Tests for the controlled micro-workloads."""
 
+import hashlib
+
 import pytest
 
+from repro.bench.perf import hotpath_trace
 from repro.workloads.analysis import characterize
 from repro.workloads.micro import (
     phased_trace,
@@ -117,3 +120,32 @@ def test_predictor_adapts_across_phases():
     trace = phased_trace(accesses_per_phase=8000, seed=9)
     result = simulate("cosmos-dp", trace.accesses, small_test_config(), workload="phased")
     assert result.extra["prediction_accuracy"] > 0.5
+
+
+#: SHA-256 of each packed array of ``hotpath_trace`` — the benchmark's
+#: ``zipf`` workload, whose cell digests are pinned on top of this trace.
+_SINGLE_CORE = "4cbbd9be0cba685835755f827758705db5a413c5494c34262cd25946a73e7582"
+HOTPATH_DIGESTS = {
+    None: {
+        "block_addresses": "4e66f1b2e3979e8b6ea443e76a284783429e4a61dc8a2742a25e61814d036fdd",
+        "types": "e79c623ec2ee4837aa8979e58dae97b4c1d69dc0c1c5ee8690837442dd13a0f2",
+        "cores": _SINGLE_CORE,
+    },
+    2026: {
+        "block_addresses": "5aa78c64cdb9f8d79effc144cad7cb417ec35a917792b726c9edaf8da823d67c",
+        "types": "bab7e8975229f6dfc2ca2748a752541df0489289ab9cf9daaba9b4f99e7d5cf9",
+        "cores": _SINGLE_CORE,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", [None, 2026], ids=["defaults", "seed2026"])
+def test_hotpath_trace_is_pinned_by_value(seed):
+    trace = hotpath_trace() if seed is None else hotpath_trace(seed=seed)
+    arrays = trace.arrays()
+    assert len(arrays) == 100_000
+    digests = {
+        name: hashlib.sha256(getattr(arrays, name).tobytes()).hexdigest()
+        for name in HOTPATH_DIGESTS[seed]
+    }
+    assert digests == HOTPATH_DIGESTS[seed]
