@@ -50,7 +50,7 @@ def _is_power_of_two(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DramTimings:
     """Timing parameters in CPU cycles (3 GHz core, DDR4-2400).
 
@@ -58,7 +58,8 @@ class DramTimings:
     cycles) plus data burst transfer.  Writes use the write CAS latency
     (tCWL ~ 10ns) and pay tWR (~15ns) of write recovery inside the bank
     before the next activate.  Refresh follows tREFI = 7.8us / tRFC =
-    350ns.
+    350ns.  Frozen: :class:`DramModel` derives its service times once per
+    timings object, so a change is a new object (``dataclasses.replace``).
     """
 
     cas: int = 41
@@ -206,6 +207,17 @@ class DramModel:
     row_size_bytes: int = 2048
     stats: DramStats = field(default_factory=DramStats)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name == "timings":
+            # The per-class service times ``request`` charges, derived once
+            # per (frozen) timings object and again whenever it is replaced,
+            # as the calibration probes do.
+            self._read_hit = value.row_hit_latency
+            self._write_hit = value.write_hit_latency
+            self._read_miss = value.row_miss_latency
+            self._write_miss = value.write_miss_latency
+
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.num_channels):
             raise ValueError(
@@ -297,6 +309,7 @@ class DramModel:
         direction turnaround and the utilisation-derived queue penalty.
         """
         timings = self.timings
+        burst = timings.burst
         channel = (block_address >> self._channel_shift) & self._channel_mask
         bank = (block_address >> self._bank_shift) & self._bank_mask
         row = block_address >> self._row_shift
@@ -310,58 +323,60 @@ class DramModel:
         # are absorbed silently (refreshing an idle channel stalls nobody).
         interval = timings.refresh_interval
         if interval > 0:
-            if now >= self._next_refresh[channel]:
+            next_refresh = self._next_refresh
+            if now >= next_refresh[channel]:
                 start += timings.refresh_cycles
                 stats.refresh_stalls += 1
-                self._next_refresh[channel] = (now // interval + 1) * interval
+                next_refresh[channel] = (now // interval + 1) * interval
             # Activation ledger windows are tREFI-aligned: refresh rewrites
             # every row, so disturbance pressure cannot carry across a
             # boundary.  Counts never mix windows — the ledger is cleared
             # the moment a request observes a different window.
             window = now // interval
-            if window != self._act_window[channel]:
-                self._act_window[channel] = window
-                if self._act_counts[channel]:
-                    self._act_counts[channel].clear()
+            act_window = self._act_window
+            if window != act_window[channel]:
+                act_window[channel] = window
+                ledger = self._act_counts[channel]
+                if ledger:
+                    ledger.clear()
                     stats.act_window_resets += 1
 
         # Utilisation-derived queueing: the previous window's measured bus
         # utilisation (in 1/1024 units) scales the maximum penalty.
-        elapsed = now - self._win_start[channel]
+        win_start = self._win_start
+        win_busy = self._win_busy
+        util = self._util
+        elapsed = now - win_start[channel]
         if elapsed >= UTILISATION_WINDOW:
-            self._util[channel] = min(
-                1024, (self._win_busy[channel] << 10) // elapsed
-            )
-            self._win_start[channel] = now
-            self._win_busy[channel] = 0
-        start += (timings.queue_penalty * self._util[channel]) >> 10
+            util[channel] = min(1024, (win_busy[channel] << 10) // elapsed)
+            win_start[channel] = now
+            win_busy[channel] = 0
+        start += (timings.queue_penalty * util[channel]) >> 10
 
         # Bank readiness: queue behind the bank's previous command (and,
         # after writes, its write-recovery window).
         bank_index = channel * self.num_banks + bank
-        ready = self._bank_ready[bank_index]
+        bank_ready = self._bank_ready
+        ready = bank_ready[bank_index]
         if ready > start:
             start = ready
 
-        # Row-buffer state machine with per-class column latency.
-        if self._open_rows[bank_index] == row:
+        # Row-buffer state machine with per-class column latency; the four
+        # service times are derived once per ``timings`` object.
+        open_rows = self._open_rows
+        if open_rows[bank_index] == row:
             stats.row_hits += 1
-            service = (timings.cwl if is_write else timings.cas) + timings.burst
+            service = self._write_hit if is_write else self._read_hit
         else:
             stats.row_misses += 1
-            self._open_rows[bank_index] = row
+            open_rows[bank_index] = row
             ledger = self._act_counts[channel]
             key = (bank, row)
             count = ledger.get(key, 0) + 1
             ledger[key] = count
             if count > stats.max_row_activations:
                 stats.max_row_activations = count
-            service = (
-                timings.rp
-                + timings.rcd
-                + (timings.cwl if is_write else timings.cas)
-                + timings.burst
-            )
+            service = self._write_miss if is_write else self._read_miss
 
         # Channel data-bus serialisation: bursts cannot overlap, and a
         # direction switch costs ``turnaround`` idle bus cycles *between*
@@ -369,30 +384,32 @@ class DramModel:
         # bus-grant order: a switch whose gap is fully absorbed by bank
         # queueing (the burst could not have started earlier anyway)
         # delays nothing and is not charged or counted.
-        burst_start = start + service - timings.burst
-        gate = self._bus_ready[channel]
-        if is_write != self._last_write[channel]:
-            self._last_write[channel] = is_write
+        burst_start = start + service - burst
+        bus_ready = self._bus_ready
+        gate = bus_ready[channel]
+        last_write = self._last_write
+        if is_write != last_write[channel]:
+            last_write[channel] = is_write
             gate += timings.turnaround
             if burst_start < gate:
                 stats.turnarounds += 1
         if burst_start < gate:
-            finish = gate + timings.burst
+            finish = gate + burst
         else:
-            finish = burst_start + timings.burst
-        self._bus_ready[channel] = finish
+            finish = burst_start + burst
+        bus_ready[channel] = finish
         busy = stats.per_channel_busy
-        busy[channel] = busy.get(channel, 0) + timings.burst
-        self._win_busy[channel] += timings.burst
+        busy[channel] = busy.get(channel, 0) + burst
+        win_busy[channel] += burst
 
         # The bank is busy until the burst completes (+ tWR for writes).
-        self._bank_ready[bank_index] = finish + (timings.wr if is_write else 0)
-
         latency = finish - now
         if is_write:
+            bank_ready[bank_index] = finish + timings.wr
             stats.writes += 1
             stats.write_cycles += latency
         else:
+            bank_ready[bank_index] = finish
             stats.reads += 1
             stats.read_cycles += latency
         stats.queue_cycles += latency - service

@@ -12,7 +12,7 @@ log2(537M/128) ~ 22 MT nodes" (Sec. 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 #: Default Merkle-tree arity.  The paper's traffic arithmetic (Sec. 3.1:
 #: "verifying a single CTR requires access to the log2(537M/128) ~ 22 MT
@@ -29,6 +29,10 @@ class SecureLayout:
     Args:
         data_blocks: Number of protected 64B data blocks.
         blocks_per_ctr: Coverage ratio of the counter scheme in use.
+        mt_arity: Children per Merkle-tree node.
+
+    Attributes:
+        ctr_blocks: Number of 64B counter lines (derived, set on init).
     """
 
     data_blocks: int
@@ -42,31 +46,32 @@ class SecureLayout:
             raise ValueError("blocks_per_ctr must be positive")
         if self.mt_arity < 2:
             raise ValueError("mt_arity must be >= 2")
-        # Precompute per-level node counts and region offsets: mt_path() is
-        # on the simulator's hot path (one traversal per CTR cache miss).
+        # Precompute the counter-line count, per-level node counts and
+        # per-level base addresses: every CTR cache miss walks the MT path,
+        # and each node address is one base plus one index.
+        ctr_blocks = -(-self.data_blocks // self.blocks_per_ctr)
+        object.__setattr__(self, "ctr_blocks", ctr_blocks)
         counts: List[int] = []
-        nodes = self.ctr_blocks
+        nodes = ctr_blocks
         while nodes > 1:
             nodes = -(-nodes // self.mt_arity)
             counts.append(max(nodes, 1))
         if not counts:
             counts.append(1)
-        offsets: List[int] = []
-        running = 0
+        bases: List[int] = []
+        running = self.mt_region_base
         for count in counts:
-            offsets.append(running)
+            bases.append(running)
             running += count
         object.__setattr__(self, "_level_counts", tuple(counts))
-        object.__setattr__(self, "_level_offsets", tuple(offsets))
+        object.__setattr__(self, "_level_bases", tuple(bases))
+        #: Base addresses of the levels a walk fetches (root excluded: it is
+        #: pinned on-chip and never fetched from DRAM, paper Sec. 2.1).
+        object.__setattr__(self, "_fetched_bases", tuple(bases[:-1]))
 
     # ------------------------------------------------------------------
     # Region sizes
     # ------------------------------------------------------------------
-    @property
-    def ctr_blocks(self) -> int:
-        """Number of 64B counter lines."""
-        return -(-self.data_blocks // self.blocks_per_ctr)
-
     @property
     def mac_blocks(self) -> int:
         """Number of 64B MAC lines (8 x 64-bit MACs per line)."""
@@ -118,24 +123,36 @@ class SecureLayout:
         """DRAM block address of an MT node at (level, index)."""
         if level < 0 or level >= self.mt_levels:
             raise ValueError(f"level {level} out of range [0, {self.mt_levels})")
-        return self.mt_region_base + self._level_offsets[level] + node_index
+        count = self._level_counts[level]
+        if not 0 <= node_index < count:
+            raise ValueError(
+                f"node_index {node_index} out of range [0, {count}) at level {level}"
+            )
+        return self._level_bases[level] + node_index
+
+    def mt_walk(self, ctr_index: int) -> Iterator[int]:
+        """Lazily yield the MT node addresses from leaf-parent to root.
+
+        The root (last level) is excluded: it is pinned on-chip and never
+        fetched from DRAM (paper Sec. 2.1).  Each address is computed only
+        when the walk asks for it, so a walk that stops at a cached node
+        never builds the rest of the path.  An out-of-range ``ctr_index``
+        raises ``ValueError`` when iteration starts.
+        """
+        if not 0 <= ctr_index < self.ctr_blocks:
+            raise ValueError(f"ctr_index {ctr_index} out of range [0, {self.ctr_blocks})")
+        arity = self.mt_arity
+        node = ctr_index
+        for base in self._fetched_bases:
+            node //= arity
+            yield base + node
 
     def mt_path(self, ctr_index: int) -> List[int]:
         """Block addresses of the MT nodes from leaf-parent to root.
 
-        The root (last level) is excluded: it is pinned on-chip and never
-        fetched from DRAM (paper Sec. 2.1).
+        The whole of :meth:`mt_walk` as a list (root excluded).
         """
-        if not 0 <= ctr_index < self.ctr_blocks:
-            raise ValueError(f"ctr_index {ctr_index} out of range [0, {self.ctr_blocks})")
-        path: List[int] = []
-        node = ctr_index
-        for level in range(self.mt_levels):
-            node //= self.mt_arity
-            if level == self.mt_levels - 1:
-                break  # root stays on-chip
-            path.append(self.mt_node_address(level, node))
-        return path
+        return list(self.mt_walk(ctr_index))
 
     @classmethod
     def for_memory_size(

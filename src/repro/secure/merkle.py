@@ -268,21 +268,25 @@ class IntegrityTreeModel:
         Walks the MT path leaf-parent to root, fetching nodes from DRAM
         until one hits in the MT-node cache (that node was already verified
         against the root, so the walk can stop).  Fetched nodes are
-        installed in the cache.
+        installed in the cache.  Node addresses come from the layout's lazy
+        :meth:`~repro.secure.layout.SecureLayout.mt_walk`, so levels above
+        the first hit are never computed.
 
         Returns:
             Tuple of (nodes fetched from DRAM, their block addresses).
         """
-        self.stats.traversals += 1
+        stats = self.stats
+        stats.traversals += 1
+        cache = self.node_cache
         fetched: List[int] = []
-        for node_address in self.layout.mt_path(ctr_index):
-            if self.node_cache is not None and self.node_cache.access(node_address):
-                self.stats.cache_hits += 1
+        for node_address in self.layout.mt_walk(ctr_index):
+            if cache is not None and cache.access(node_address):
+                stats.cache_hits += 1
                 break
             fetched.append(node_address)
-            if self.node_cache is not None:
-                self.node_cache.fill(node_address)
+            if cache is not None:
+                cache.fill(node_address)
         else:
-            self.stats.root_reached += 1
-        self.stats.nodes_fetched += len(fetched)
+            stats.root_reached += 1
+        stats.nodes_fetched += len(fetched)
         return len(fetched), fetched

@@ -284,7 +284,8 @@ def plan_hammer(
     bpc = pmap.blocks_per_ctr
 
     plan = HammerPlan(config=config)
-    ledger: Dict[Tuple[int, int, int], int] = {}
+    #: Current window's activations: (channel, bank) -> {row: count}.
+    ledger: Dict[Tuple[int, int], Dict[int, int]] = {}
     open_rows: Dict[Tuple[int, int], int] = {}
     window = 0
     written: Set[int] = set()
@@ -338,33 +339,58 @@ def plan_hammer(
                     )
         return candidates
 
+    # Per-op hot loop.  An op's activated rows depend only on its block, so
+    # each block's decoded ``((channel, bank), row)`` list is memoised, and
+    # the window ledger is kept per bank as ``row -> activations`` so the
+    # neighbour lookups key on plain row numbers.
+    window_ops = config.window_ops
+    threshold = config.threshold
+    next_window_at = window_ops
+    decoded: Dict[int, Tuple[Tuple[Tuple[int, int], int], ...]] = {}
+    activations = 0
+    max_pressure = 0
     for i, op in enumerate(ops):
+        block = op.block
         if op.is_write:
-            written.add(op.block)
-            line_first_written.setdefault(op.block // bpc, op.block)
-        current_window = i // config.window_ops
-        if current_window != window:
-            window = current_window
+            written.add(block)
+            line_first_written.setdefault(block // bpc, block)
+        if i >= next_window_at:
+            window = i // window_ops
+            next_window_at = (window + 1) * window_ops
             ledger.clear()
-        for phys in _op_phys(op, pmap, config):
-            channel, bank, row, _ = geometry.decode(phys)
-            bank_key = (channel, bank)
+        rows = decoded.get(block)
+        if rows is None:
+            rows = decoded[block] = tuple(
+                ((channel, bank), row)
+                for channel, bank, row, _ in map(geometry.decode, _op_phys(op, pmap, config))
+            )
+        for bank_key, row in rows:
             if open_rows.get(bank_key) == row:
                 continue  # row hit: no activation, no disturbance
             open_rows[bank_key] = row
-            plan.activations += 1
-            row_key = (channel, bank, row)
-            ledger[row_key] = ledger.get(row_key, 0) + 1
+            activations += 1
+            counts = ledger.get(bank_key)
+            if counts is None:
+                counts = ledger[bank_key] = {}
+            count = counts.get(row, 0) + 1
+            counts[row] = count
+            # Only the two neighbours' pressures moved; look at each victim
+            # only when one of them reaches the threshold.
+            below = counts.get(row - 2, 0) + count if row else 0
+            above = count + counts.get(row + 2, 0)
+            pressure = above if above > below else below
+            if pressure > max_pressure:
+                max_pressure = pressure
+            if pressure < threshold:
+                continue
             for victim_row in (row - 1, row + 1):
                 if victim_row < 0:
                     continue
-                low = ledger.get((channel, bank, victim_row - 1), 0)
-                high = ledger.get((channel, bank, victim_row + 1), 0)
-                pressure = low + high
-                if pressure > plan.max_pressure:
-                    plan.max_pressure = pressure
-                if pressure < config.threshold:
+                low = counts.get(victim_row - 1, 0)
+                high = counts.get(victim_row + 1, 0)
+                if low + high < threshold:
                     continue
+                channel, bank = bank_key
                 victim_key = (channel, bank, victim_row)
                 if victim_key in handled_rows:
                     continue
@@ -388,6 +414,8 @@ def plan_hammer(
                         victim_row=victim_row, low=low, high=high,
                     )
                 )
+    plan.activations = activations
+    plan.max_pressure = max_pressure
     plan.windows = (max(len(ops) - 1, 0)) // config.window_ops + 1 if ops else 0
     return plan
 
@@ -524,9 +552,10 @@ def boundary_hammer_ops(
     for block in dict.fromkeys(victims + [low_driver, high_driver]):
         payload = f"boundary:{region}:{block}:{rng.randrange(1 << 16)}".encode()[:64]
         ops.append(Op(block=block, is_write=True, payload=payload))
+    # Ops are frozen, so the alternating body shares its two read ops.
+    reads = (Op(block=low_driver, is_write=False), Op(block=high_driver, is_write=False))
     body = 2 * config.threshold + 64
-    for i in range(body):
-        ops.append(Op(block=low_driver if i % 2 == 0 else high_driver, is_write=False))
+    ops.extend(reads[i % 2] for i in range(body))
     return ops
 
 

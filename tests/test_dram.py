@@ -1,6 +1,7 @@
 """Unit tests for the DDR4 bank-state timing model."""
 
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -250,6 +251,35 @@ def test_refresh_disabled():
     latency = dram.request(1, now=100_000)
     assert dram.stats.refresh_stalls == 0
     assert latency == dram.timings.row_hit_latency
+
+
+def _replay(dram, seed=7, requests=400):
+    """Latencies of a fixed mixed read/write stream over a few rows."""
+    rng = random.Random(seed)
+    now = 0
+    latencies = []
+    for _ in range(requests):
+        now += rng.choice((0, 1, 20, 400, 9_000))
+        block = rng.randrange(dram.row_size_bytes // 64 * dram.num_banks * 4)
+        latencies.append(dram.request(block, is_write=rng.random() < 0.3, now=now))
+    return latencies
+
+
+@pytest.mark.parametrize("changes", [
+    {"refresh_interval": 0},
+    {"refresh_interval": 0, "cas": 50, "rcd": 35, "rp": 30, "cwl": 20, "burst": 4},
+])
+def test_reassigned_timings_match_constructed(changes):
+    """Replacing ``timings`` on a live model (as the refresh probe of
+    ``verify dram-calib`` does) behaves like building it with them."""
+    reassigned = DramModel()
+    reassigned.timings = replace(reassigned.timings, **changes)
+    built = DramModel(timings=DramTimings(**changes))
+    assert _replay(reassigned) == _replay(built)
+    assert reassigned.stats == built.stats
+    assert reassigned.activation_counts() == built.activation_counts()
+    with pytest.raises(FrozenInstanceError):  # no in-place edit can go stale
+        reassigned.timings.cas = 1
 
 
 # ----------------------------------------------------------------------

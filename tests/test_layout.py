@@ -95,6 +95,30 @@ def test_mt_node_address_bounds():
         layout.mt_node_address(layout.mt_levels, 0)
 
 
+@pytest.mark.parametrize("arity", [2, 8])
+def test_mt_node_index_bounds(arity):
+    layout = SecureLayout(data_blocks=1 << 16, mt_arity=arity)
+    for level in range(layout.mt_levels):
+        last = layout.mt_nodes_at_level(level) - 1
+        assert layout.mt_node_address(level, last) == layout.mt_node_address(level, 0) + last
+        # One past the level's end would alias the next level's first node
+        # (or the region past the tree); -1 at level 0 the last MAC line.
+        with pytest.raises(ValueError):
+            layout.mt_node_address(level, last + 1)
+        with pytest.raises(ValueError):
+            layout.mt_node_address(level, -1)
+
+
+def test_mt_path_matches_node_addresses():
+    layout = SecureLayout(data_blocks=1 << 16, mt_arity=2)
+    ctr = layout.ctr_blocks - 1
+    expected = [
+        layout.mt_node_address(level, ctr // layout.mt_arity ** (level + 1))
+        for level in range(layout.mt_levels - 1)
+    ]
+    assert layout.mt_path(ctr) == expected
+
+
 def test_mt_path_bounds():
     layout = SecureLayout(data_blocks=1 << 12)
     with pytest.raises(ValueError):

@@ -113,6 +113,15 @@ class TestTraversalModel:
                 model.traverse(ctr)
         assert model.stats.average_fetches < len(layout.mt_path(0))
 
+    @pytest.mark.parametrize("arity", [2, 8])
+    def test_out_of_range_counter_rejected(self, arity):
+        layout = SecureLayout(data_blocks=1 << 16, mt_arity=arity)
+        model = IntegrityTreeModel(layout)
+        for ctr in (layout.ctr_blocks, -1):
+            with pytest.raises(ValueError):
+                model.traverse(ctr)
+        assert model.stats.nodes_fetched == 0
+
     def test_no_cache_always_counts_full_path(self):
         layout = self.layout()
         model = IntegrityTreeModel(layout, cache_size_bytes=0)

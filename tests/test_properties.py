@@ -10,7 +10,7 @@ from repro.mem.cache import Cache
 from repro.mem.replacement import make_policy
 from repro.secure.counters import MorphCtrCounters, SplitCounters
 from repro.secure.layout import SecureLayout
-from repro.secure.merkle import MerkleTree
+from repro.secure.merkle import IntegrityTreeModel, MerkleTree
 
 SLOW = settings(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -207,3 +207,53 @@ def test_layout_regions_are_disjoint_and_paths_valid(data_blocks, blocks_per_ctr
     assert len(path) == max(layout.mt_levels - 1, 0)
     for address in path:
         assert address >= layout.mt_region_base
+
+
+# ----------------------------------------------------------------------
+# Lazy MT walk == prefix of the full path up to the first cache hit
+# ----------------------------------------------------------------------
+def _eager_walk(layout, cache, ctr):
+    """Reference walk: build the whole path, then stop at the first hit."""
+    fetched = []
+    for node in layout.mt_path(ctr):
+        if cache is not None and cache.access(node):
+            return fetched, True
+        fetched.append(node)
+        if cache is not None:
+            cache.fill(node)
+    return fetched, False
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data_blocks=st.integers(min_value=128, max_value=1 << 20),
+    arity=st.sampled_from([2, 8]),
+    cache_size_bytes=st.sampled_from([0, 1024, 4096]),
+    picks=st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1),
+                   min_size=1, max_size=120),
+)
+def test_lazy_walk_fetches_path_prefix_to_first_hit(data_blocks, arity,
+                                                    cache_size_bytes, picks):
+    layout = SecureLayout(data_blocks=data_blocks, mt_arity=arity)
+    model = IntegrityTreeModel(layout, cache_size_bytes=cache_size_bytes, cache_assoc=2)
+    shadow = Cache(cache_size_bytes, 2) if cache_size_bytes else None
+    hits = roots = 0
+    for pick in picks:
+        ctr = pick % layout.ctr_blocks
+        path = layout.mt_path(ctr)
+        want, hit = _eager_walk(layout, shadow, ctr)
+        count, fetched = model.traverse(ctr)
+        assert fetched == want == path[:len(fetched)]
+        assert count == len(fetched)
+        if hit:
+            hits += 1
+        else:
+            roots += 1
+            assert fetched == path
+    stats = model.stats
+    assert stats.traversals == len(picks)
+    assert (stats.cache_hits, stats.root_reached) == (hits, roots)
+    if cache_size_bytes == 0:
+        assert roots == len(picks)
+    else:
+        assert model.node_cache.resident_blocks() == shadow.resident_blocks()
